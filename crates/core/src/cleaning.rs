@@ -22,7 +22,7 @@
 //! the full-upload path — residency is purely a cost optimisation and is
 //! never required for correctness.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gpu_sim::{pipelined_makespan, Device, SimNanos};
@@ -324,10 +324,8 @@ fn finish_round(
                 .iter()
                 .filter(|m| before.get(&m.object) != Some(*m))
                 .count() as u64;
-            let removed = prev
-                .iter()
-                .filter(|m| !msgs.iter().any(|n| n.object == m.object))
-                .count() as u64;
+            let after: HashSet<ObjectId, FxBuildHasher> = msgs.iter().map(|m| m.object).collect();
+            let removed = prev.iter().filter(|m| !after.contains(&m.object)).count() as u64;
             d2h_bytes += changed * CachedMessage::WIRE_BYTES + removed * 8;
         } else {
             d2h_bytes += msgs.len() as u64 * CachedMessage::WIRE_BYTES;
@@ -664,6 +662,50 @@ mod tests {
             .find(|m| m.object == ObjectId(3))
             .unwrap();
         assert_eq!(newest.time, Timestamp(210));
+    }
+
+    #[test]
+    fn copy_back_diff_counts_changed_and_removed_objects() {
+        let (mut dev, lists, mut resident) = setup(1);
+        for o in 0..6 {
+            lists.lock(0).append(msg(o, 100));
+        }
+        let cfg = config();
+        clean_cells(
+            &mut dev,
+            &lists,
+            &mut resident,
+            &[CellId(0)],
+            &cfg,
+            Timestamp(150),
+        );
+        assert!(resident.contains(CellId(0)));
+        // Objects 1 and 2 move within the cell, 9 arrives, 4 and 5 depart.
+        lists.lock(0).append(msg(1, 160));
+        lists.lock(0).append(msg(2, 160));
+        lists.lock(0).append(msg(9, 160));
+        lists
+            .lock(0)
+            .append(CachedMessage::tombstone(ObjectId(4), Timestamp(160)));
+        lists
+            .lock(0)
+            .append(CachedMessage::tombstone(ObjectId(5), Timestamp(160)));
+        let (objs, rep) = clean_cells(
+            &mut dev,
+            &lists,
+            &mut resident,
+            &[CellId(0)],
+            &cfg,
+            Timestamp(200),
+        );
+        assert_eq!(rep.resident_hits, 1);
+        assert_eq!(objs[&CellId(0)].len(), 5);
+        // Three changed messages ship whole; two removals ship an id each.
+        assert_eq!(rep.d2h_bytes, 3 * CachedMessage::WIRE_BYTES + 2 * 8);
+        assert_eq!(
+            dev.ledger().d2h_bytes,
+            6 * CachedMessage::WIRE_BYTES + rep.d2h_bytes
+        );
     }
 
     #[test]

@@ -21,8 +21,15 @@
 //! [`gpu_sim::mem`]. When either bound is hit, least-recently-used cells
 //! are evicted until the new entry fits; a cell whose consolidated list
 //! alone exceeds the budget is simply never promoted.
+//!
+//! Both stores here share one LRU core (`Lru`): an entry map, a
+//! tick-ordered index and a running byte total, so the resident-byte count
+//! is O(1) and a hit, an install or an eviction is O(log n) in the number
+//! of resident cells. Every hit and every install takes a fresh tick, so
+//! ticks are unique and the smallest one names the least-recently-used
+//! entry.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use gpu_sim::{BufferId, BufferTag, Device};
 
@@ -30,36 +37,171 @@ use crate::grid::CellId;
 use crate::message::CachedMessage;
 use crate::object_table::FxBuildHasher;
 
+/// One resident entry of an [`Lru`]: the device buffer backing it, its
+/// size, its recency tick and the store-specific payload.
+#[derive(Debug)]
+struct Slot<E> {
+    buffer: BufferId,
+    bytes: u64,
+    last_used: u64,
+    data: E,
+}
+
+/// Budgeted LRU of device buffers keyed by cell, shared by
+/// [`ResidentCellStore`] and [`TopologyStore`].
+#[derive(Debug)]
+struct Lru<E> {
+    budget_bytes: u64,
+    slots: HashMap<CellId, Slot<E>, FxBuildHasher>,
+    /// `last_used → cell`; the first key is the eviction victim.
+    by_tick: BTreeMap<u64, CellId>,
+    /// Sum of `slots[..].bytes`.
+    bytes: u64,
+    tick: u64,
+    /// Lifetime evictions (monotone).
+    evictions: u64,
+}
+
+impl<E> Lru<E> {
+    fn new(budget_bytes: u64) -> Self {
+        Self {
+            budget_bytes,
+            slots: HashMap::with_hasher(FxBuildHasher::default()),
+            by_tick: BTreeMap::new(),
+            bytes: 0,
+            tick: 0,
+            evictions: 0,
+        }
+    }
+
+    fn get(&self, cell: CellId) -> Option<&E> {
+        self.slots.get(&cell).map(|s| &s.data)
+    }
+
+    fn values(&self) -> impl Iterator<Item = (u64, &E)> {
+        self.slots.values().map(|s| (s.bytes, &s.data))
+    }
+
+    /// Mark `cell` most recently used; `None` if it is not resident.
+    fn touch(&mut self, cell: CellId) -> Option<&mut E> {
+        let slot = self.slots.get_mut(&cell)?;
+        self.tick += 1;
+        self.by_tick.remove(&slot.last_used);
+        self.by_tick.insert(self.tick, cell);
+        slot.last_used = self.tick;
+        Some(&mut slot.data)
+    }
+
+    /// Drop `cell` and free its buffer. Returns the bytes freed, `None` if
+    /// it was not resident. Not counted as an eviction.
+    fn remove(&mut self, device: &mut Device, cell: CellId) -> Option<u64> {
+        let slot = self.slots.remove(&cell)?;
+        self.by_tick.remove(&slot.last_used);
+        self.bytes -= slot.bytes;
+        Some(device.free_buffer(slot.buffer))
+    }
+
+    /// [`Self::remove`] counted as an eviction. Returns whether `cell` was
+    /// resident.
+    fn evict(&mut self, device: &mut Device, cell: CellId) -> bool {
+        let was = self.remove(device, cell).is_some();
+        self.evictions += u64::from(was);
+        was
+    }
+
+    fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
+        let (_, &victim) = self.by_tick.first_key_value()?;
+        self.evict(device, victim);
+        Some(victim)
+    }
+
+    /// Evict LRU entries until `extra` more bytes fit the budget. Returns
+    /// `false` if the store ran empty first.
+    fn evict_to_fit(&mut self, device: &mut Device, extra: u64) -> bool {
+        while self.bytes + extra > self.budget_bytes {
+            if self.evict_lru(device).is_none() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Install `cell` (not resident) in a fresh `bytes`-wide buffer tagged
+    /// `tag`, evicting LRU entries until it fits both the budget (less
+    /// `pressure` bytes charged by others) and the card. Returns whether it
+    /// was installed.
+    fn insert(
+        &mut self,
+        device: &mut Device,
+        cell: CellId,
+        bytes: u64,
+        pressure: u64,
+        tag: BufferTag,
+        data: E,
+    ) -> bool {
+        debug_assert!(!self.slots.contains_key(&cell), "insert over a live slot");
+        if !self.evict_to_fit(device, pressure + bytes) {
+            return false;
+        }
+        // The card itself may be fuller than the budget assumes (other
+        // structures share it).
+        let buffer = loop {
+            match device.alloc_buffer_tagged(bytes, tag) {
+                Ok(b) => break b,
+                Err(_) => {
+                    if self.evict_lru(device).is_none() {
+                        return false;
+                    }
+                }
+            }
+        };
+        self.tick += 1;
+        self.by_tick.insert(self.tick, cell);
+        self.bytes += bytes;
+        self.slots.insert(
+            cell,
+            Slot {
+                buffer,
+                bytes,
+                last_used: self.tick,
+                data,
+            },
+        );
+        true
+    }
+
+    /// Drop every entry and free its buffer. Returns how many there were;
+    /// not counted as evictions.
+    fn clear(&mut self, device: &mut Device) -> u64 {
+        let n = self.slots.len() as u64;
+        for (_, slot) in self.slots.drain() {
+            device.free_buffer(slot.buffer);
+        }
+        self.by_tick.clear();
+        self.bytes = 0;
+        n
+    }
+}
+
 /// One cell's device-resident consolidated state.
 #[derive(Debug)]
 struct ResidentEntry {
-    buffer: BufferId,
     /// List epoch at install time; the mirror is valid while the cell's
     /// `cleaned_epoch()` equals this.
     epoch: u64,
     /// Host mirror of the device buffer (the simulator computes on host
     /// data; a real port would keep only the device pointer).
     mirror: Vec<CachedMessage>,
-    last_used: u64,
     /// How the entry's device buffer is tagged: [`BufferTag::General`] for
     /// the owner's consolidated state, [`BufferTag::Replica`] for a
     /// read-replica of a cell another shard owns.
     tag: BufferTag,
 }
 
-impl ResidentEntry {
-    fn bytes(&self) -> u64 {
-        self.mirror.len() as u64 * CachedMessage::WIRE_BYTES
-    }
-}
-
 /// LRU store of device-resident consolidated cell lists.
 #[derive(Debug)]
 pub struct ResidentCellStore {
-    budget_bytes: u64,
-    entries: HashMap<CellId, ResidentEntry, FxBuildHasher>,
-    tick: u64,
-    evictions: u64,
+    lru: Lru<ResidentEntry>,
     /// Bytes other device-resident structures (the batch clean-cache)
     /// have charged against this budget; eviction decisions count them as
     /// pressure even though no resident entry backs them.
@@ -71,29 +213,26 @@ impl ResidentCellStore {
     /// and every install is a no-op.
     pub fn new(budget_bytes: u64) -> Self {
         Self {
-            budget_bytes,
-            entries: HashMap::with_hasher(FxBuildHasher::default()),
-            tick: 0,
-            evictions: 0,
+            lru: Lru::new(budget_bytes),
             external_bytes: 0,
         }
     }
 
     pub fn enabled(&self) -> bool {
-        self.budget_bytes > 0
+        self.lru.budget_bytes > 0
     }
 
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.lru.budget_bytes
     }
 
     /// Bytes currently mirrored on the device.
     pub fn resident_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes()).sum()
+        self.lru.bytes
     }
 
     pub fn resident_cells(&self) -> usize {
-        self.entries.len()
+        self.lru.slots.len()
     }
 
     /// Bytes currently charged by external structures
@@ -111,11 +250,7 @@ impl ResidentCellStore {
         if !self.enabled() || bytes == 0 {
             return;
         }
-        while self.resident_bytes() + self.external_bytes + bytes > self.budget_bytes {
-            if self.evict_lru(device).is_none() {
-                break;
-            }
-        }
+        self.lru.evict_to_fit(device, self.external_bytes + bytes);
         self.external_bytes += bytes;
     }
 
@@ -125,12 +260,12 @@ impl ResidentCellStore {
     }
 
     pub fn contains(&self, cell: CellId) -> bool {
-        self.entries.contains_key(&cell)
+        self.lru.slots.contains_key(&cell)
     }
 
     /// Lifetime LRU/stale evictions (monotone; callers diff across a round).
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.lru.evictions
     }
 
     /// The resident mirror of `cell`, valid against the cell's current
@@ -143,21 +278,11 @@ impl ResidentCellStore {
         cell: CellId,
         cleaned_epoch: Option<u64>,
     ) -> Option<&[CachedMessage]> {
-        match self.entries.get(&cell) {
-            None => None,
-            Some(e) if cleaned_epoch != Some(e.epoch) => {
-                let e = self.entries.remove(&cell).expect("entry just seen");
-                device.free_buffer(e.buffer);
-                self.evictions += 1;
-                None
-            }
-            Some(_) => {
-                self.tick += 1;
-                let e = self.entries.get_mut(&cell).expect("entry just seen");
-                e.last_used = self.tick;
-                Some(&e.mirror)
-            }
+        if cleaned_epoch != Some(self.lru.get(cell)?.epoch) {
+            self.lru.evict(device, cell);
+            return None;
         }
+        self.lru.touch(cell).map(|e| &e.mirror[..])
     }
 
     /// Install (or refresh) the resident state of `cell` after a cleaning
@@ -199,123 +324,72 @@ impl ResidentCellStore {
         messages: &[CachedMessage],
         tag: BufferTag,
     ) -> bool {
-        if !self.enabled() || messages.is_empty() {
-            self.invalidate(device, cell);
-            return false;
-        }
         let bytes = messages.len() as u64 * CachedMessage::WIRE_BYTES;
-        if bytes > self.budget_bytes {
-            self.invalidate(device, cell);
+        // Free the cell's previous buffer first: the new allocation must
+        // not be blocked by state it is replacing.
+        self.invalidate(device, cell);
+        if !self.enabled() || messages.is_empty() || bytes > self.lru.budget_bytes {
             return false;
         }
-
-        // Free the cell's previous buffer first: the new allocation below
-        // must not be blocked by state it is replacing.
-        if let Some(e) = self.entries.remove(&cell) {
-            device.free_buffer(e.buffer);
-        }
-
-        // Budget eviction (never counts the slot being refreshed; external
-        // charges squeeze the same budget).
-        while self.resident_bytes() + self.external_bytes + bytes > self.budget_bytes {
-            if self.evict_lru(device).is_none() {
-                return false; // bytes <= budget and store empty (or all external)
-            }
-        }
-
-        // Capacity eviction: the card itself may be fuller than the budget
-        // assumes (other structures share it).
-        let buffer = loop {
-            match device.alloc_buffer_tagged(bytes, tag) {
-                Ok(b) => break b,
-                Err(_) => {
-                    if self.evict_lru(device).is_none() {
-                        return false;
-                    }
-                }
-            }
+        let entry = ResidentEntry {
+            epoch,
+            mirror: messages.to_vec(),
+            tag,
         };
-
-        self.tick += 1;
-        self.entries.insert(
-            cell,
-            ResidentEntry {
-                buffer,
-                epoch,
-                mirror: messages.to_vec(),
-                last_used: self.tick,
-                tag,
-            },
-        );
-        true
+        self.lru
+            .insert(device, cell, bytes, self.external_bytes, tag, entry)
     }
 
     /// Whether `cell`'s resident entry is a read-replica (installed through
     /// [`Self::install_replica`]).
     pub fn is_replica(&self, cell: CellId) -> bool {
-        self.entries
-            .get(&cell)
+        self.lru
+            .get(cell)
             .is_some_and(|e| e.tag == BufferTag::Replica)
     }
 
     /// Read-replica entries currently resident.
     pub fn replica_cells(&self) -> usize {
-        self.entries
+        self.lru
             .values()
-            .filter(|e| e.tag == BufferTag::Replica)
+            .filter(|(_, e)| e.tag == BufferTag::Replica)
             .count()
     }
 
     /// Bytes currently held by read-replica entries.
     pub fn replica_bytes(&self) -> u64 {
-        self.entries
+        self.lru
             .values()
-            .filter(|e| e.tag == BufferTag::Replica)
-            .map(|e| e.bytes())
+            .filter(|(_, e)| e.tag == BufferTag::Replica)
+            .map(|(bytes, _)| bytes)
             .sum()
     }
 
     /// Drop `cell`'s resident state, if any. Returns the bytes freed.
     pub fn invalidate(&mut self, device: &mut Device, cell: CellId) -> u64 {
-        match self.entries.remove(&cell) {
-            Some(e) => device.free_buffer(e.buffer),
-            None => 0,
-        }
+        self.lru.remove(device, cell).unwrap_or(0)
     }
 
     /// Evict the least-recently-used resident cell. Returns the victim.
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(c, e)| (e.last_used, c.0))
-            .map(|(&c, _)| c)?;
-        self.invalidate(device, victim);
-        self.evictions += 1;
-        Some(victim)
+        self.lru.evict_lru(device)
     }
 
     /// Forcibly evict a specific cell (tests, ablations). Returns whether
     /// the cell was resident.
     pub fn force_evict(&mut self, device: &mut Device, cell: CellId) -> bool {
-        let was = self.invalidate(device, cell) > 0;
-        if was {
-            self.evictions += 1;
-        }
-        was
+        self.lru.evict(device, cell)
     }
 
-    /// Drop everything (e.g. before reconfiguring the device).
+    /// Drop everything (e.g. before reconfiguring the device). Not counted
+    /// as evictions.
     pub fn clear(&mut self, device: &mut Device) {
-        let cells: Vec<CellId> = self.entries.keys().copied().collect();
-        for c in cells {
-            self.invalidate(device, c);
-        }
+        self.lru.clear(device);
     }
 }
 
 /// Accounting for one [`TopologyStore::stage`] round.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StagedTopo {
     /// Simulated duration of the coalesced upload (zero when nothing missed).
     pub time: gpu_sim::SimNanos,
@@ -329,14 +403,6 @@ pub struct StagedTopo {
     pub transactions_saved: u64,
 }
 
-/// One cell's device-resident CSR topology slice.
-#[derive(Debug)]
-struct TopoEntry {
-    buffer: BufferId,
-    bytes: u64,
-    last_used: u64,
-}
-
 /// LRU store of device-resident per-cell CSR topology slices.
 ///
 /// Unlike [`ResidentCellStore`] there is no epoch validity: the road network
@@ -347,10 +413,7 @@ struct TopoEntry {
 /// for which cells have paid their H2D.
 #[derive(Debug)]
 pub struct TopologyStore {
-    budget_bytes: u64,
-    entries: HashMap<CellId, TopoEntry, FxBuildHasher>,
-    tick: u64,
-    evictions: u64,
+    lru: Lru<()>,
     hits: u64,
     misses: u64,
 }
@@ -360,39 +423,36 @@ impl TopologyStore {
     /// (the caller pays the per-query upload) and nothing is kept resident.
     pub fn new(budget_bytes: u64) -> Self {
         Self {
-            budget_bytes,
-            entries: HashMap::with_hasher(FxBuildHasher::default()),
-            tick: 0,
-            evictions: 0,
+            lru: Lru::new(budget_bytes),
             hits: 0,
             misses: 0,
         }
     }
 
     pub fn enabled(&self) -> bool {
-        self.budget_bytes > 0
+        self.lru.budget_bytes > 0
     }
 
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.lru.budget_bytes
     }
 
     pub fn resident_cells(&self) -> usize {
-        self.entries.len()
+        self.lru.slots.len()
     }
 
     /// Bytes of topology currently resident on the device.
     pub fn resident_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
+        self.lru.bytes
     }
 
     pub fn contains(&self, cell: CellId) -> bool {
-        self.entries.contains_key(&cell)
+        self.lru.slots.contains_key(&cell)
     }
 
     /// Lifetime evictions (monotone).
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.lru.evictions
     }
 
     /// Lifetime lookup hits (cell already resident — no H2D owed).
@@ -412,42 +472,15 @@ impl TopologyStore {
     /// fit the budget and the card) so the *next* query hits. A slice wider
     /// than the whole budget is never installed.
     pub fn ensure(&mut self, device: &mut Device, cell: CellId, bytes: u64) -> bool {
-        if let Some(e) = self.entries.get_mut(&cell) {
-            self.tick += 1;
-            e.last_used = self.tick;
+        if self.lru.touch(cell).is_some() {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if !self.enabled() || bytes == 0 || bytes > self.budget_bytes {
-            return false;
+        if self.enabled() && bytes > 0 && bytes <= self.lru.budget_bytes {
+            self.lru
+                .insert(device, cell, bytes, 0, BufferTag::Topology, ());
         }
-
-        while self.resident_bytes() + bytes > self.budget_bytes {
-            if self.evict_lru(device).is_none() {
-                return false; // unreachable: bytes <= budget and store empty
-            }
-        }
-        let buffer = loop {
-            match device.alloc_buffer_tagged(bytes, BufferTag::Topology) {
-                Ok(b) => break b,
-                Err(_) => {
-                    if self.evict_lru(device).is_none() {
-                        return false;
-                    }
-                }
-            }
-        };
-
-        self.tick += 1;
-        self.entries.insert(
-            cell,
-            TopoEntry {
-                buffer,
-                bytes,
-                last_used: self.tick,
-            },
-        );
         false
     }
 
@@ -477,36 +510,18 @@ impl TopologyStore {
 
     /// Evict the least-recently-used resident slice. Returns the victim.
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(c, e)| (e.last_used, c.0))
-            .map(|(&c, _)| c)?;
-        let e = self.entries.remove(&victim).expect("victim just seen");
-        device.free_buffer(e.buffer);
-        self.evictions += 1;
-        Some(victim)
+        self.lru.evict_lru(device)
     }
 
     /// Forcibly evict a specific cell (tests, ablations). Returns whether
     /// the cell was resident.
     pub fn force_evict(&mut self, device: &mut Device, cell: CellId) -> bool {
-        match self.entries.remove(&cell) {
-            Some(e) => {
-                device.free_buffer(e.buffer);
-                self.evictions += 1;
-                true
-            }
-            None => false,
-        }
+        self.lru.evict(device, cell)
     }
 
-    /// Drop everything.
+    /// Drop everything; each dropped slice counts as an eviction.
     pub fn clear(&mut self, device: &mut Device) {
-        let cells: Vec<CellId> = self.entries.keys().copied().collect();
-        for c in cells {
-            self.force_evict(device, c);
-        }
+        self.lru.evictions += self.lru.clear(device);
     }
 }
 

@@ -305,6 +305,11 @@ impl GGridServer {
         &self.object_table
     }
 
+    /// Read access to the per-device shards (diagnostics/validation).
+    pub(crate) fn shards(&self) -> &ShardSet {
+        &self.shards
+    }
+
     /// Number of messages currently cached across all cells.
     pub fn cached_messages(&self) -> usize {
         self.lists.sum_over(|l| l.total_messages())
@@ -1489,5 +1494,45 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(s.knn(q, 5, Timestamp(100)), first);
         }
+    }
+
+    #[test]
+    fn validate_audits_residency_ledgers() {
+        use crate::validate::{ResidencyStore, Violation};
+        let g = gen::toy(5);
+        let mut s = GGridServer::new(g, small_config());
+        for i in 0..20 {
+            s.handle_update(ObjectId(i), pos((i % 10) as u32, 0), Timestamp(10 + i));
+        }
+        s.knn(pos(0, 0), 4, Timestamp(100));
+        assert!(s.resident_bytes() > 0 && s.topology_resident_bytes() > 0);
+        assert!(s.validate(Timestamp(100)).is_empty());
+
+        // A charge left over from a batch, and a topology-tagged buffer no
+        // store accounts for.
+        let sh = s.shards.shard_mut(0);
+        sh.resident.reserve_external(&mut sh.device, 64);
+        let stray = sh
+            .device
+            .alloc_buffer_tagged(16, gpu_sim::BufferTag::Topology)
+            .unwrap();
+        let topo_bytes = sh.topo.resident_bytes();
+        let got = s.validate(Timestamp(100));
+        assert!(got.contains(&Violation::ExternalChargeLeaked {
+            shard: 0,
+            bytes: 64
+        }));
+        assert!(got.contains(&Violation::ResidencyLedgerMismatch {
+            shard: 0,
+            store: ResidencyStore::Topology,
+            store_bytes: topo_bytes,
+            device_bytes: topo_bytes + 16,
+        }));
+        assert_eq!(got.len(), 2, "{got:?}");
+
+        let sh = s.shards.shard_mut(0);
+        sh.resident.release_external(64);
+        sh.device.free_buffer(stray);
+        assert!(s.validate(Timestamp(100)).is_empty());
     }
 }

@@ -15,8 +15,15 @@
 //!    matches the table's position.
 //! 3. **Message lists**: bucket occupancy within δᵇ and bucket timestamps
 //!    consistent with their contents.
+//! 4. **Residency ledgers**: on every shard, each residency store's byte
+//!    count equals the bytes its device holds under the store's buffer tags
+//!    (`General` + `Replica` for cell state, `Topology` for topology
+//!    slices), each store is within its budget, and no external charge
+//!    outlives the batch that made it.
 
 use std::fmt;
+
+use gpu_sim::BufferTag;
 
 use crate::grid::CellId;
 use crate::message::{ObjectId, Timestamp};
@@ -50,6 +57,35 @@ pub enum Violation {
     ObjectPositionStale {
         object: ObjectId,
     },
+    /// A residency store's byte count disagrees with its device's tagged
+    /// buffer bytes.
+    ResidencyLedgerMismatch {
+        shard: usize,
+        store: ResidencyStore,
+        store_bytes: u64,
+        device_bytes: u64,
+    },
+    ResidencyOverBudget {
+        shard: usize,
+        store: ResidencyStore,
+        bytes: u64,
+        budget: u64,
+    },
+    /// A batch's external charge against the cell-state budget was never
+    /// released.
+    ExternalChargeLeaked {
+        shard: usize,
+        bytes: u64,
+    },
+}
+
+/// Which per-shard residency store a [`Violation`] is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResidencyStore {
+    /// [`crate::residency::ResidentCellStore`].
+    Cells,
+    /// [`crate::residency::TopologyStore`].
+    Topology,
 }
 
 impl fmt::Display for Violation {
@@ -144,6 +180,56 @@ impl crate::server::GGridServer {
                     object: o,
                     cell: entry.cell,
                 }),
+            }
+        }
+
+        // 4. Residency ledgers.
+        let shards = self.shards();
+        for d in 0..shards.num_shards() {
+            let sh = shards.shard(d);
+            let tagged = |tags: &[BufferTag]| -> u64 {
+                tags.iter()
+                    .map(|&t| sh.device.resident_bytes_tagged(t))
+                    .sum()
+            };
+            let stores = [
+                (
+                    ResidencyStore::Cells,
+                    sh.resident.resident_bytes(),
+                    sh.resident.budget_bytes(),
+                    tagged(&[BufferTag::General, BufferTag::Replica]),
+                ),
+                (
+                    ResidencyStore::Topology,
+                    sh.topo.resident_bytes(),
+                    sh.topo.budget_bytes(),
+                    tagged(&[BufferTag::Topology]),
+                ),
+            ];
+            for (store, bytes, budget, device_bytes) in stores {
+                if bytes != device_bytes {
+                    out.push(Violation::ResidencyLedgerMismatch {
+                        shard: d,
+                        store,
+                        store_bytes: bytes,
+                        device_bytes,
+                    });
+                }
+                if bytes > budget {
+                    out.push(Violation::ResidencyOverBudget {
+                        shard: d,
+                        store,
+                        bytes,
+                        budget,
+                    });
+                }
+            }
+            let external = sh.resident.external_bytes();
+            if external != 0 {
+                out.push(Violation::ExternalChargeLeaked {
+                    shard: d,
+                    bytes: external,
+                });
             }
         }
         out

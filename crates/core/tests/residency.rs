@@ -3,7 +3,13 @@
 //! with residency enabled (any budget, any forced-eviction pattern) returns
 //! kNN results byte-identical to a residency-disabled reference.
 
+use std::collections::HashMap;
+
+use ggrid::grid::CellId;
 use ggrid::prelude::*;
+use ggrid::residency::{ResidentCellStore, StagedTopo, TopologyStore};
+use ggrid::CachedMessage;
+use gpu_sim::{BufferId, BufferTag, Device, DeviceSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -188,6 +194,8 @@ proptest! {
                 }
                 _ => resident.evict_all_resident(),
             }
+            let violations = resident.validate(Timestamp(t));
+            prop_assert!(violations.is_empty(), "after op {:?}: {:?}", (obj, edge, kind), violations);
         }
         // Closing full-coverage query: every object's final position.
         let q = EdgePosition::at_source(EdgeId(seed as u32 % EDGES));
@@ -197,5 +205,328 @@ proptest! {
         );
         // The budget is an invariant, not a hint.
         prop_assert!(resident.resident_bytes() <= budget);
+    }
+}
+
+/// The stores' LRU as first written, kept as the reference model for the
+/// indexed core: the victim is the minimum `(last_used, cell)` found by
+/// scanning every entry, and the resident bytes are re-summed on demand.
+struct NaiveLru {
+    budget: u64,
+    entries: HashMap<CellId, NaiveEntry>,
+    tick: u64,
+    evictions: u64,
+}
+
+struct NaiveEntry {
+    buffer: BufferId,
+    bytes: u64,
+    last_used: u64,
+    epoch: u64,
+    mirror: Vec<CachedMessage>,
+    tag: BufferTag,
+}
+
+impl NaiveLru {
+    fn new(budget: u64) -> Self {
+        Self {
+            budget,
+            entries: HashMap::new(),
+            tick: 0,
+            evictions: 0,
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        self.entries.values().map(|e| e.bytes).sum()
+    }
+
+    fn remove(&mut self, d: &mut Device, c: CellId) -> u64 {
+        self.entries
+            .remove(&c)
+            .map_or(0, |e| d.free_buffer(e.buffer))
+    }
+
+    fn evict(&mut self, d: &mut Device, c: CellId) -> bool {
+        let was = self.remove(d, c) > 0;
+        self.evictions += u64::from(was);
+        was
+    }
+
+    fn evict_lru(&mut self, d: &mut Device) -> Option<CellId> {
+        let (&victim, _) = self
+            .entries
+            .iter()
+            .min_by_key(|(c, e)| (e.last_used, c.0))?;
+        self.evict(d, victim);
+        Some(victim)
+    }
+
+    fn touch(&mut self, c: CellId) -> bool {
+        let Some(e) = self.entries.get_mut(&c) else {
+            return false;
+        };
+        self.tick += 1;
+        e.last_used = self.tick;
+        true
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn insert(
+        &mut self,
+        d: &mut Device,
+        c: CellId,
+        bytes: u64,
+        pressure: u64,
+        tag: BufferTag,
+        epoch: u64,
+        mirror: &[CachedMessage],
+    ) -> bool {
+        while self.bytes() + pressure + bytes > self.budget {
+            if self.evict_lru(d).is_none() {
+                return false;
+            }
+        }
+        let buffer = loop {
+            match d.alloc_buffer_tagged(bytes, tag) {
+                Ok(b) => break b,
+                Err(_) => {
+                    if self.evict_lru(d).is_none() {
+                        return false;
+                    }
+                }
+            }
+        };
+        self.tick += 1;
+        let last_used = self.tick;
+        let mirror = mirror.to_vec();
+        self.entries.insert(
+            c,
+            NaiveEntry {
+                buffer,
+                bytes,
+                last_used,
+                epoch,
+                mirror,
+                tag,
+            },
+        );
+        true
+    }
+}
+
+/// Reference [`ResidentCellStore`] + [`TopologyStore`] pair over one device.
+struct NaiveStores {
+    cells: NaiveLru,
+    external: u64,
+    topo: NaiveLru,
+    hits: u64,
+    misses: u64,
+}
+
+impl NaiveStores {
+    fn install(
+        &mut self,
+        d: &mut Device,
+        c: CellId,
+        epoch: u64,
+        m: &[CachedMessage],
+        tag: BufferTag,
+    ) -> bool {
+        let bytes = m.len() as u64 * CachedMessage::WIRE_BYTES;
+        self.cells.remove(d, c);
+        if self.cells.budget == 0 || m.is_empty() || bytes > self.cells.budget {
+            return false;
+        }
+        self.cells.insert(d, c, bytes, self.external, tag, epoch, m)
+    }
+
+    fn lookup(
+        &mut self,
+        d: &mut Device,
+        c: CellId,
+        cleaned: Option<u64>,
+    ) -> Option<Vec<CachedMessage>> {
+        let epoch = self.cells.entries.get(&c)?.epoch;
+        if cleaned != Some(epoch) {
+            self.cells.evict(d, c);
+            return None;
+        }
+        self.cells.touch(c);
+        Some(self.cells.entries[&c].mirror.clone())
+    }
+
+    fn reserve_external(&mut self, d: &mut Device, bytes: u64) {
+        if self.cells.budget == 0 || bytes == 0 {
+            return;
+        }
+        while self.cells.bytes() + self.external + bytes > self.cells.budget {
+            if self.cells.evict_lru(d).is_none() {
+                break;
+            }
+        }
+        self.external += bytes;
+    }
+
+    fn ensure(&mut self, d: &mut Device, c: CellId, bytes: u64) -> bool {
+        if self.topo.touch(c) {
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        if self.topo.budget > 0 && bytes > 0 && bytes <= self.topo.budget {
+            self.topo
+                .insert(d, c, bytes, 0, BufferTag::Topology, 0, &[]);
+        }
+        false
+    }
+
+    fn stage(&mut self, d: &mut Device, cells: &[(CellId, u64)]) -> StagedTopo {
+        let mut out = StagedTopo::default();
+        for &(c, bytes) in cells {
+            if self.ensure(d, c, bytes) {
+                out.hits += 1;
+            } else {
+                out.misses += 1;
+                out.bytes += bytes;
+            }
+        }
+        out.time = d.h2d_staged(out.misses as usize, out.bytes);
+        out.transactions_saved = out.misses.saturating_sub(1);
+        out
+    }
+}
+
+const LRU_CELLS: u32 = 10;
+
+fn wire_msgs(n: u64, stamp: u64) -> Vec<CachedMessage> {
+    (0..n)
+        .map(|o| {
+            CachedMessage::update(
+                ObjectId(o),
+                EdgePosition::at_source(EdgeId(0)),
+                Timestamp(stamp + o),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Both residency stores, driven by one random operation sequence on a
+    /// shared card, behave step for step like the min-scan reference: same
+    /// return values, same resident sets (hence the same victims), same
+    /// counters, same bytes on the device under every tag.
+    #[test]
+    fn lru_core_matches_min_scan_reference(
+        budget_sel in 0usize..4,
+        ops in prop::collection::vec((0u32..16, 0u32..LRU_CELLS, 0u64..6, 0u64..4), 1..80),
+    ) {
+        // (store budget, bytes of the card left free): small budgets, a
+        // disabled pair, and a budget larger than the card so the
+        // out-of-memory retry loop evicts.
+        let (budget, card_free) = [(320, 1 << 20), (0, 1 << 20), (1 << 30, 1500), (900, 1200)][budget_sel];
+        let mut dr = Device::new(DeviceSpec::test_tiny());
+        let mut dm = Device::new(DeviceSpec::test_tiny());
+        dr.alloc((1 << 20) - card_free).unwrap();
+        dm.alloc((1 << 20) - card_free).unwrap();
+        let mut cells = ResidentCellStore::new(budget);
+        let mut topo = TopologyStore::new(budget);
+        let mut model = NaiveStores {
+            cells: NaiveLru::new(budget),
+            external: 0,
+            topo: NaiveLru::new(budget),
+            hits: 0,
+            misses: 0,
+        };
+        for (step, &(kind, cell, size, epoch)) in ops.iter().enumerate() {
+            let c = CellId(cell);
+            let m = wire_msgs(size, 100 + step as u64);
+            let topo_bytes = size * 100;
+            match kind {
+                0 | 1 => prop_assert_eq!(
+                    topo.ensure(&mut dr, c, topo_bytes),
+                    model.ensure(&mut dm, c, topo_bytes)
+                ),
+                2 => {
+                    let round = [
+                        (c, topo_bytes),
+                        (CellId((cell + 1) % LRU_CELLS), 150),
+                        (CellId((cell + 3) % LRU_CELLS), topo_bytes + 50),
+                    ];
+                    prop_assert_eq!(topo.stage(&mut dr, round), model.stage(&mut dm, &round));
+                }
+                3 | 4 => prop_assert_eq!(
+                    cells.install(&mut dr, c, epoch, &m),
+                    model.install(&mut dm, c, epoch, &m, BufferTag::General)
+                ),
+                5 => prop_assert_eq!(
+                    cells.install_replica(&mut dr, c, epoch, &m),
+                    model.install(&mut dm, c, epoch, &m, BufferTag::Replica)
+                ),
+                6 | 7 => {
+                    // Epoch 3 is never installed: a stale lookup, as is `None`.
+                    let cleaned = (size > 0).then_some(epoch);
+                    prop_assert_eq!(
+                        cells.lookup(&mut dr, c, cleaned).map(<[_]>::to_vec),
+                        model.lookup(&mut dm, c, cleaned)
+                    );
+                }
+                8 => prop_assert_eq!(cells.force_evict(&mut dr, c), model.cells.evict(&mut dm, c)),
+                9 => prop_assert_eq!(topo.force_evict(&mut dr, c), model.topo.evict(&mut dm, c)),
+                10 => {
+                    cells.reserve_external(&mut dr, size * 40);
+                    model.reserve_external(&mut dm, size * 40);
+                }
+                11 => {
+                    cells.release_external(size * 40);
+                    model.external = model.external.saturating_sub(size * 40);
+                }
+                12 => prop_assert_eq!(cells.evict_lru(&mut dr), model.cells.evict_lru(&mut dm)),
+                13 => prop_assert_eq!(topo.evict_lru(&mut dr), model.topo.evict_lru(&mut dm)),
+                14 => {
+                    cells.clear(&mut dr);
+                    for c in model.cells.entries.keys().copied().collect::<Vec<_>>() {
+                        model.cells.remove(&mut dm, c);
+                    }
+                }
+                _ => {
+                    topo.clear(&mut dr);
+                    for c in model.topo.entries.keys().copied().collect::<Vec<_>>() {
+                        model.topo.evict(&mut dm, c);
+                    }
+                }
+            }
+
+            let ctx = format!("step {step}: op {:?}", ops[step]);
+            for c in (0..LRU_CELLS).map(CellId) {
+                prop_assert_eq!(cells.contains(c), model.cells.entries.contains_key(&c), "{}", ctx);
+                prop_assert_eq!(topo.contains(c), model.topo.entries.contains_key(&c), "{}", ctx);
+                prop_assert_eq!(
+                    cells.is_replica(c),
+                    model.cells.entries.get(&c).is_some_and(|e| e.tag == BufferTag::Replica),
+                    "{}", ctx
+                );
+            }
+            prop_assert_eq!(cells.evictions(), model.cells.evictions, "{}", ctx);
+            prop_assert_eq!(topo.evictions(), model.topo.evictions, "{}", ctx);
+            prop_assert_eq!((topo.hits(), topo.misses()), (model.hits, model.misses), "{}", ctx);
+            prop_assert_eq!(cells.resident_bytes(), model.cells.bytes(), "{}", ctx);
+            prop_assert_eq!(topo.resident_bytes(), model.topo.bytes(), "{}", ctx);
+            prop_assert_eq!(cells.external_bytes(), model.external, "{}", ctx);
+            for tag in [BufferTag::General, BufferTag::Replica, BufferTag::Topology] {
+                prop_assert_eq!(dr.resident_bytes_tagged(tag), dm.resident_bytes_tagged(tag), "{}", ctx);
+            }
+            prop_assert_eq!(
+                cells.resident_bytes(),
+                dr.resident_bytes_tagged(BufferTag::General) + dr.resident_bytes_tagged(BufferTag::Replica),
+                "{}", ctx
+            );
+            prop_assert_eq!(topo.resident_bytes(), dr.resident_bytes_tagged(BufferTag::Topology), "{}", ctx);
+            prop_assert_eq!(dr.residency(), dm.residency(), "{}", ctx);
+            prop_assert_eq!(dr.ledger(), dm.ledger(), "{}", ctx);
+            prop_assert!(cells.resident_bytes() <= budget && topo.resident_bytes() <= budget, "{}", ctx);
+        }
     }
 }
